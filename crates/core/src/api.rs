@@ -1,16 +1,14 @@
-//! High-level solver entry points (legacy shims) and the distributed layout
-//! permutations they are built on.
+//! The distributed algorithm vocabulary ([`Algorithm`]) and the layout
+//! permutations the staged executor is built on.
 //!
 //! The staged API of [`crate::solve`] ([`crate::SolveRequest`] →
-//! [`crate::SolvePlan`] → [`crate::Solution`]) is the primary solver
-//! surface; [`solve_lower`] / [`solve_upper`] remain as thin deprecated
-//! shims so pre-existing call sites keep compiling.  The layout
-//! permutations ([`reverse_rows`], [`reverse_both`], [`transpose_dist`]) —
-//! plain keyed all-to-all remappings — live here and are shared with the
-//! staged executor.
+//! [`crate::SolvePlan`] → [`crate::Solution`]) is the solver surface.  The
+//! layout permutations ([`reverse_rows`], [`reverse_both`],
+//! [`transpose_dist`]) — plain keyed all-to-all remappings — live here and
+//! are shared with it: an upper solve `U·X = B` runs as the lower solve
+//! `(J·U·J)·(J·X) = J·B` through the reversal permutation `J`.
 
 use crate::it_inv_trsm::ItInvConfig;
-use crate::solve::SolveRequest;
 use crate::Result;
 use pgrid::DistMatrix;
 
@@ -29,25 +27,6 @@ pub enum Algorithm {
     IterativeInversion(ItInvConfig),
     /// The row-fan-out baseline (Heath–Romine style).
     Wavefront,
-}
-
-/// Solve `U·X = B` for an **upper**-triangular `U`, returning `X` in the same
-/// distribution as `B`.
-///
-/// The upper solve is reduced to a lower solve through the reversal
-/// permutation `J` (reversing row and column order): `J·U·J` is lower
-/// triangular, so `U·X = B ⟺ (J·U·J)·(J·X) = J·B`.  The permutations are
-/// plain layout remappings (one keyed all-to-all each), so the asymptotic
-/// costs are those of the underlying lower solve.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SolveRequest::upper().algorithm(algorithm).solve_distributed(u, b)`"
-)]
-pub fn solve_upper(u: &DistMatrix, b: &DistMatrix, algorithm: Algorithm) -> Result<DistMatrix> {
-    Ok(SolveRequest::upper()
-        .algorithm(algorithm)
-        .solve_distributed(u, b)?
-        .x)
 }
 
 /// Reverse the row order of a distributed matrix (the permutation `J·A`).
@@ -95,26 +74,10 @@ pub fn transpose_dist(a: &DistMatrix) -> Result<DistMatrix> {
     Ok(pgrid::redist::transpose(a, true)?)
 }
 
-/// Solve `L·X = B`, returning `X` in the same distribution as `B`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SolveRequest::lower().algorithm(algorithm).solve_distributed(l, b)` \
-            (which also returns the plan's report)"
-)]
-pub fn solve_lower(l: &DistMatrix, b: &DistMatrix, algorithm: Algorithm) -> Result<DistMatrix> {
-    Ok(SolveRequest::lower()
-        .algorithm(algorithm)
-        .solve_distributed(l, b)?
-        .x)
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated shims are exercised on purpose: pre-existing call
-    // sites must keep solving exactly as before through the staged API.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::solve::SolveRequest;
     use dense::gen;
     use pgrid::Grid2D;
     use simnet::{Machine, MachineParams};
@@ -128,7 +91,11 @@ mod tests {
                 let b_global = dense::matmul(&l_global, &x_true);
                 let l = DistMatrix::from_global(&grid, &l_global);
                 let b = DistMatrix::from_global(&grid, &b_global);
-                let x = solve_lower(&l, &b, algorithm).unwrap();
+                let x = SolveRequest::lower()
+                    .algorithm(algorithm)
+                    .solve_distributed(&l, &b)
+                    .unwrap()
+                    .x;
                 dense::norms::rel_diff(&x.to_global(), &x_true)
             })
             .unwrap()
@@ -156,7 +123,11 @@ mod tests {
                 let b_global = dense::matmul(&u_global, &x_true);
                 let u = DistMatrix::from_global(&grid, &u_global);
                 let b = DistMatrix::from_global(&grid, &b_global);
-                let x = solve_upper(&u, &b, Algorithm::Recursive { base_size: 8 }).unwrap();
+                let x = SolveRequest::upper()
+                    .algorithm(Algorithm::Recursive { base_size: 8 })
+                    .solve_distributed(&u, &b)
+                    .unwrap()
+                    .x;
                 dense::norms::rel_diff(&x.to_global(), &x_true)
             })
             .unwrap();

@@ -52,24 +52,6 @@ use pgrid::DistMatrix;
 use simnet::CostCounters;
 use sparse::{SchedulePolicy, SparseTri};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide count of plans built (every `plan_dense` / `plan_sparse` /
-/// `plan_distributed` lowering, whether called directly or through the
-/// one-shot `solve_*` conveniences).
-///
-/// The counterpart of [`SparseTri::analysis_count`] one stage earlier in
-/// the pipeline: a plan cache (the `serve` crate) asserts steady-state
-/// behavior by snapshotting this before a traffic window and checking it
-/// stayed flat — repeat traffic must hit cached `Arc<Plan>`s, not re-plan.
-static PLAN_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of [`Plan`]s lowered by this process so far (monotone).
-/// Relaxed ordering: callers only compare snapshots taken on the same
-/// thread or across a join.
-pub fn plan_build_count() -> usize {
-    PLAN_BUILDS.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // SolveRequest
@@ -287,7 +269,6 @@ impl SolveRequest {
     /// for right solves).
     pub fn plan_dense(&self, n: usize, k: usize) -> Result<Plan> {
         let _span = obs::span_with("planner", "plan_dense", "n", n as u64);
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         Ok(Plan {
             n,
             k,
@@ -315,7 +296,6 @@ impl SolveRequest {
     /// of the level schedule it will sweep.
     pub fn plan_sparse(&self, a: &SparseTri, k: usize) -> Result<Plan> {
         let _span = obs::span_with("planner", "plan_sparse", "n", a.n() as u64);
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         if self.opts.side == Side::Right {
             return Err(config_error(
                 "plan_sparse",
@@ -410,7 +390,6 @@ impl SolveRequest {
     /// the choice is inspectable before (and after) execution.
     pub fn plan_distributed(&self, n: usize, k: usize, p: usize) -> Result<Plan> {
         let _span = obs::span_with("planner", "plan_distributed", "n", n as u64);
-        PLAN_BUILDS.fetch_add(1, Ordering::Relaxed);
         if self.opts.side == Side::Right {
             return Err(config_error(
                 "plan_distributed",

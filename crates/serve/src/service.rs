@@ -14,7 +14,7 @@
 //! cache hits execute against the canonical operand, whose `OnceLock`'d
 //! schedule caches are already warm, even when the client rebuilt its
 //! matrix object from scratch.  Steady state therefore performs zero
-//! plan builds ([`catrsm::plan_build_count`] stays flat) and zero
+//! plan builds ([`ServiceStats::plan_builds`] stays flat) and zero
 //! analyses ([`sparse::SparseTri::analysis_count`] stays flat).
 //!
 //! # Batching

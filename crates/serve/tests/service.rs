@@ -171,7 +171,7 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
         .solve_vec(&req, &Operand::Sparse(Arc::clone(&canonical)), &b)
         .unwrap()
         .x;
-    let plans_after_warmup = catrsm::plan_build_count();
+    let plans_after_warmup = svc.stats().plan_builds;
     let analyses_after_warmup = canonical.analysis_count();
     let merged_after_warmup = canonical.merged_analysis_count();
 
@@ -202,7 +202,7 @@ fn repeat_traffic_keeps_planning_and_analysis_flat() {
     }
 
     assert_eq!(
-        catrsm::plan_build_count(),
+        svc.stats().plan_builds,
         plans_after_warmup,
         "steady state must not lower any new plans"
     );

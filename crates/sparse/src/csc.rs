@@ -47,9 +47,7 @@
 
 use crate::csr::SparseTri;
 use crate::error::SparseError;
-use crate::solve::{
-    chunk_bounds, wait_ready, wait_ready_counted, SharedPtr, SolveOpts, PAR_MIN_WORK,
-};
+use crate::solve::{chunk_bounds, wait_ready, SharedPtr, SolveOpts, PAR_MIN_WORK};
 use crate::Result;
 // Same pivot tolerance as the CSR constructors, so the two storage forms
 // accept exactly the same matrices.
@@ -595,11 +593,7 @@ impl SparseTriCsc {
                 // Wait (acquire) until every contribution to row `j` has
                 // landed; the release increments below pair with this, so
                 // all slab writes for row `j` are visible.
-                if tracing {
-                    spins += wait_ready_counted(&known[j], indeg[j]);
-                } else {
-                    wait_ready(&known[j], indeg[j]);
-                }
+                spins += wait_ready(&known[j], indeg[j]);
                 // SAFETY: row `j` of `x` is written only by this worker
                 // (contiguous chunk ownership of columns = rows); the slab
                 // rows reduced here are final per the counter handshake,

@@ -1,4 +1,7 @@
-//! # `sparse` — level-scheduled parallel sparse triangular solves
+//! # `sparse` — parallel sparse triangular solves
+//!
+//! One wave executor over a Level or Merged partition, plus the sync-free
+//! sweep.
 //!
 //! The paper's algorithms assume *dense* triangular systems, but most
 //! real-world triangular-solve traffic is sparse: applying incomplete
@@ -25,15 +28,17 @@
 //!   consecutive skinny levels merged into coarse *super-levels*
 //!   (cached via [`SparseTri::merged_schedule`]), so deep narrow DAGs pay
 //!   one barrier per super-level instead of one per level;
-//! * solve executors ([`SparseTri::solve`], [`SparseTri::solve_multi`],
-//!   the sequential baselines, and the [`SparseTri::solve_via_dense`]
-//!   fallback) on the `dense::threads` worker pool (`DENSE_THREADS`
-//!   workers): barrier-separated level sweeps under
-//!   [`SchedulePolicy::Level`], super-level sweeps with per-row
+//! * solve executors ([`SparseTri::solve_with`] and its shorthands, the
+//!   sequential baseline at one worker, and the
+//!   [`SparseTri::solve_via_dense`] fallback) on the `dense::threads`
+//!   worker pool (`DENSE_THREADS` workers): **one wave executor** —
+//!   barrier-separated waves, each split into one chunk per worker — over
+//!   the partition the policy names: the levels under
+//!   [`SchedulePolicy::Level`], the super-levels with per-row
 //!   point-to-point readiness under [`SchedulePolicy::Merged`]
 //!   (auto-chosen from the level-shape statistics and the declared
 //!   [`SolveOpts::reuse`], pinnable through [`SolveOpts::policy`]) —
-//!   **bitwise identical** at every worker count and under either policy;
+//!   **bitwise identical** at every worker count and under either partition;
 //! * [`SparseTriCsc`] — validated CSC storage (the cached
 //!   [`SparseTri::csc`] mirror) and the **sync-free** executor behind
 //!   [`SchedulePolicy::SyncFree`]: an analysis-free column sweep with

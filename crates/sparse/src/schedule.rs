@@ -1,5 +1,5 @@
-//! Dependency-DAG analysis: level sets (and merged super-levels) for the
-//! parallel solve.
+//! Dependency-DAG analysis: the two row partitions — level sets and merged
+//! super-levels — that the one barriered wave executor runs.
 //!
 //! A sparse triangular solve is a topological traversal of the dependency
 //! DAG induced by the sparsity pattern: in `L x = b`, row `i` may be
@@ -28,8 +28,13 @@
 //! super-level instead of one per level, and *within* a super-level tracks
 //! readiness **point-to-point**: per-row atomic flags, each worker
 //! spinning/yielding only on the rows its own rows actually consume.
-//! [`SchedulePolicy`] names the two executors; [`SchedulePolicy::auto`]
-//! picks between them from the level-shape statistics.
+//!
+//! Both analyses hand the executor the same data — a flat row order, wave
+//! boundaries into it, and (merged only) a row → wave map — so Level and
+//! Merged are one executor over two partitions, not two code paths.
+//! [`SchedulePolicy`] names the partitions (plus the analysis-free
+//! sync-free sweep); [`SchedulePolicy::auto`] picks between them from the
+//! level-shape statistics.
 //!
 //! The analysis is an O(nnz) pass over the pattern.  It is *pattern-only*
 //! (values never matter), which is why [`crate::SparseTri`] caches one
@@ -137,10 +142,7 @@ impl Schedule {
     /// Width of the widest level — the peak row-parallelism the pattern
     /// exposes.
     pub fn max_level_width(&self) -> usize {
-        (0..self.num_levels())
-            .map(|l| self.level_ptr[l + 1] - self.level_ptr[l])
-            .max()
-            .unwrap_or(0)
+        self.waves().max_width()
     }
 
     /// Average level width (`n / num_levels`) — the mean parallelism across
@@ -165,32 +167,93 @@ impl Schedule {
     pub fn level_range(&self, l: usize) -> std::ops::Range<usize> {
         self.level_ptr[l]..self.level_ptr[l + 1]
     }
+
+    /// The level partition: one wave per level, no row → wave map (every
+    /// dependency of a row lies in an earlier level, so no wave ever
+    /// waits inside itself).
+    pub(crate) fn waves(&self) -> Waves<'_> {
+        Waves {
+            rows: &self.rows,
+            ptr: &self.level_ptr,
+            wave_of: None,
+        }
+    }
+}
+
+/// A row partition into **waves**: the data the barriered executor runs.
+///
+/// The executor sweeps the waves in order with one barrier after each, so
+/// a row may depend on rows of earlier waves freely.  A row may also
+/// depend on rows of its *own* wave, provided they sit at earlier
+/// positions of `rows` — then `wave_of` must be present, and the executor
+/// tracks those dependencies point-to-point.  The level schedule is the
+/// partition without such dependencies, the merged schedule the one with.
+///
+/// The executor's memory safety rests on this contract, so the fields stay
+/// private to this module: only the two analyses build a `Waves`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Waves<'a> {
+    /// Every row exactly once, wave by wave, in sweep order.
+    rows: &'a [usize],
+    /// Wave boundaries into `rows`: wave `w` is `rows[ptr[w] .. ptr[w + 1]]`.
+    ptr: &'a [usize],
+    /// Per row, its wave — present iff a wave may hold dependencies of its
+    /// own rows.
+    wave_of: Option<&'a [u32]>,
+}
+
+impl<'a> Waves<'a> {
+    /// Number of waves — the barrier count of one solve.
+    #[inline]
+    pub(crate) fn num_waves(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    /// The rows of wave `w`, in sweep order.
+    #[inline]
+    pub(crate) fn wave_rows(&self, w: usize) -> &'a [usize] {
+        &self.rows[self.ptr[w]..self.ptr[w + 1]]
+    }
+
+    /// Rows in the widest wave — the executor's worker ceiling (more
+    /// workers would never receive a row).
+    pub(crate) fn max_width(&self) -> usize {
+        self.ptr.windows(2).map(|p| p[1] - p[0]).max().unwrap_or(0)
+    }
+
+    /// The row → wave map, present iff a wave may hold dependencies of its
+    /// own rows.
+    #[inline]
+    pub(crate) fn wave_of(&self) -> Option<&'a [u32]> {
+        self.wave_of
+    }
 }
 
 // ---------------------------------------------------------------------------
 // SchedulePolicy & MergedSchedule: DAG-partitioned scheduling.
 // ---------------------------------------------------------------------------
 
-/// Which parallel executor a sparse solve runs.
+/// How a parallel sparse solve runs: the wave executor over one of two
+/// row partitions, or the sync-free sweep.
 ///
-/// * [`SchedulePolicy::Level`] — the classical level schedule: one parallel
-///   sweep per dependency level, a global barrier between levels
-///   (`num_levels` barriers per solve).
-/// * [`SchedulePolicy::Merged`] — the DAG-partitioned schedule: consecutive
-///   levels merged into super-levels that clear [`SUPER_MIN_WEIGHT`], one
-///   barrier per *super-level*, and per-row point-to-point readiness flags
-///   inside each super-level.
+/// * [`SchedulePolicy::Level`] — the classical level partition: one wave
+///   per dependency level, a global barrier between levels (`num_levels`
+///   barriers per solve).
+/// * [`SchedulePolicy::Merged`] — the DAG partition: consecutive levels
+///   merged into super-levels that clear [`SUPER_MIN_WEIGHT`], one wave and
+///   one barrier per *super-level*, and per-row point-to-point readiness
+///   flags inside each super-level.
 /// * [`SchedulePolicy::SyncFree`] — the analysis-free CSC column sweep
 ///   (Liu et al., Euro-Par'16): per-row atomic in-degree counters and
 ///   per-worker partial-sum accumulators, **zero** levels, **zero**
 ///   barriers.  Runs on the cached CSC mirror of the matrix.
 ///
-/// The two barriered executors are **bitwise identical** to the sequential
-/// sweep (and to each other) at every worker count.  The sync-free executor
-/// is bitwise reproducible only *per fixed worker count* — changing the
-/// worker count re-associates its per-row floating-point reductions, so it
-/// agrees with the others to rounding (1e-12 in the test suites), not
-/// bitwise.  Callers normally leave the choice to [`SchedulePolicy::auto`]
+/// The two barriered partitions are **bitwise identical** to the
+/// sequential sweep (and to each other) at every worker count.  The
+/// sync-free executor is bitwise reproducible only *per fixed worker
+/// count* — changing the worker count re-associates its per-row
+/// floating-point reductions, so it agrees with the others to rounding
+/// (1e-12 in the test suites), not bitwise.  Callers normally leave the choice to [`SchedulePolicy::auto`]
 /// via `SolveOpts::policy(None)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulePolicy {
@@ -296,7 +359,7 @@ pub struct MergedSchedule {
     /// super-level `s` covers flat positions `super_ptr[s] .. super_ptr[s +
     /// 1]`.
     super_ptr: Vec<usize>,
-    /// The merged executor's own sweep order: the parent schedule's
+    /// The merged partition's own sweep order: the parent schedule's
     /// flattened row array with each super-level's rows reordered by
     /// `(level ascending, fan-out descending, row id)`.  Level stays the
     /// primary key, so every dependency still sits at a strictly earlier
@@ -404,7 +467,7 @@ impl MergedSchedule {
         self.super_ptr[s]..self.super_ptr[s + 1]
     }
 
-    /// The merged executor's sweep order: all rows, super-level by
+    /// The merged partition's sweep order: all rows, super-level by
     /// super-level, each super-level internally reordered by `(level asc,
     /// in-super-level fan-out desc, row id)`.  A permutation of `0..n` that
     /// keeps every dependency at a strictly earlier flat position.
@@ -419,14 +482,22 @@ impl MergedSchedule {
         self.super_of[i]
     }
 
-    /// Rows in the largest super-level — the merged executor's worker
+    /// Rows in the largest super-level — the merged partition's worker
     /// ceiling (more workers than rows in the widest super-level would
     /// never receive a row).
     pub fn max_super_width(&self) -> usize {
-        (0..self.num_super_levels())
-            .map(|s| self.super_ptr[s + 1] - self.super_ptr[s])
-            .max()
-            .unwrap_or(0)
+        self.waves().max_width()
+    }
+
+    /// The merged partition: one wave per super-level, in this schedule's
+    /// sweep order, with the row → super-level map for the point-to-point
+    /// waits inside each wave.
+    pub(crate) fn waves(&self) -> Waves<'_> {
+        Waves {
+            rows: &self.rows,
+            ptr: &self.super_ptr,
+            wave_of: Some(&self.super_of),
+        }
     }
 }
 

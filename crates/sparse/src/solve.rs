@@ -1,32 +1,34 @@
-//! Sparse triangular solve executors.
+//! Sparse triangular solve executors: one wave executor over a Level or
+//! Merged partition, plus the sync-free sweep.
 //!
 //! Every solve funnels through **one options-driven entry point** —
 //! [`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`] with a
-//! [`SolveOpts`] — which picks between four execution strategies:
+//! [`SolveOpts`] — which picks between three execution strategies:
 //!
 //! * a worker budget of 1 (pinned, or implicit under [`PAR_MIN_WORK`]) runs
 //!   the sequential baseline: rows in dependency order (ascending for
 //!   lower, descending for upper), no analysis needed;
-//! * a larger budget runs one of three parallel executors, chosen by
-//!   [`SchedulePolicy`] (pinned through [`SolveOpts::policy`], or
-//!   [`SchedulePolicy::auto`] from the level-shape statistics and the
-//!   declared [`SolveOpts::reuse`]):
-//!   - **`Level`** — the cached [`crate::Schedule`]'s levels run as
-//!     barrier-separated sweeps on the [`dense::run_region`] worker pool,
-//!     each level's rows split into one contiguous chunk per worker (one
-//!     barrier per level);
-//!   - **`Merged`** — the cached [`crate::MergedSchedule`]'s super-levels
-//!     run the same chunked sweep with one barrier per *super-level*, and
-//!     inside a super-level workers track readiness point-to-point: a
-//!     per-row atomic flag set (release) when the row is eliminated, each
-//!     worker spinning/yielding (acquire) only on the same-super-level
-//!     rows its own rows consume — cutting barrier counts by orders of
-//!     magnitude on deep narrow DAGs;
-//!   - **`SyncFree`** — the analysis-free column sweep of
-//!     [`crate::csc`] on the cached [`SparseTri::csc`] mirror: per-row
-//!     atomic in-degree counters and per-worker partial-sum accumulators,
-//!     **zero** levels and **zero** barriers, the right call for one-shot
-//!     solves where neither analysis would ever pay for itself;
+//! * a larger budget under a barriered [`SchedulePolicy`] (pinned through
+//!   [`SolveOpts::policy`], or [`SchedulePolicy::auto`] from the
+//!   level-shape statistics and the declared [`SolveOpts::reuse`]) runs
+//!   the **wave executor** on the [`dense::run_region`] worker pool.  A
+//!   partition groups the rows into waves; each wave's rows are split into
+//!   one contiguous chunk per worker, with one barrier after every wave.
+//!   The policy only picks the partition:
+//!   - **`Level`** — the cached [`crate::Schedule`]: one wave per
+//!     dependency level, so every dependency is complete before its wave
+//!     starts;
+//!   - **`Merged`** — the cached [`crate::MergedSchedule`]: one wave per
+//!     *super-level* of merged skinny levels, inside which workers track
+//!     readiness point-to-point — a per-row atomic flag set (release) when
+//!     the row is eliminated, each worker spinning/yielding (acquire) only
+//!     on the same-wave rows its own rows consume — cutting barrier counts
+//!     by orders of magnitude on deep narrow DAGs;
+//! * **`SyncFree`** — the analysis-free column sweep of [`crate::csc`] on
+//!   the cached [`SparseTri::csc`] mirror: per-row atomic in-degree
+//!   counters and per-worker partial-sum accumulators, **zero** levels and
+//!   **zero** barriers, the right call for one-shot solves where neither
+//!   analysis would ever pay for itself;
 //! * [`dense::Transpose::Yes`] solves `Aᵀ·x = b` on the cached
 //!   [`SparseTri::transposed`] matrix (and its cached schedules), so
 //!   transposed applies — the `Lᵀ` half of an `ILU`/`IC` preconditioner —
@@ -35,29 +37,27 @@
 //! [`SparseTri::solve_via_dense`] remains as the dense-fallback bridge:
 //! densify and call [`dense::trsv_in_place`], for patterns so dense that
 //! CSR indirection loses to the vectorized dense substitution.  The
-//! historical `solve{,_seq,_multi}{,_in_place}{,_with_threads}` surface is
-//! kept as thin shims (the `_seq`/`_with_threads` forms deprecated) over
-//! the options-driven core; `catrsm::SolveRequest` is the cross-backend
+//! `solve{,_multi}{,_in_place}` shorthands run the options-driven core
+//! with default options; `catrsm::SolveRequest` is the cross-backend
 //! front end.
 //!
-//! Because a row's result depends only on rows in earlier levels — which
-//! are complete before the row runs — and the per-row arithmetic is a
-//! fixed-order sweep over the CSR entries, the sequential and **barriered**
-//! parallel executors (`Level`, `Merged`) are **bitwise identical** at
-//! every worker count; `DENSE_THREADS` is a throughput knob there exactly
-//! as it is for the dense GEMM.  The **sync-free** executor is bitwise
-//! reproducible only *per fixed worker count*: its per-row reductions
-//! re-associate when the worker count changes, so it agrees with the other
-//! executors to rounding (1e-12 in the test suites), not bitwise — see
-//! [`crate::csc`] for the full caveat.  Every solve reports a [`FlopCount`]
-//! under the same conventions as the dense kernels (multiply + subtract = 2
-//! flops per stored off-diagonal entry, one division per explicit
-//! diagonal), so simulated machines can charge sparse applies to the same
-//! γ·F term.
+//! Because a row's result depends only on rows that are complete before
+//! the row runs, and the per-row arithmetic is a fixed-order sweep over
+//! the CSR entries, the sequential sweep and the wave executor (under
+//! either partition) are **bitwise identical** at every worker count;
+//! `DENSE_THREADS` is a throughput knob there exactly as it is for the
+//! dense GEMM.  The **sync-free** executor is bitwise reproducible only
+//! *per fixed worker count*: its per-row reductions re-associate when the
+//! worker count changes, so it agrees with the other executors to rounding
+//! (1e-12 in the test suites), not bitwise — see [`crate::csc`] for the
+//! full caveat.  Every solve reports a [`FlopCount`] under the same
+//! conventions as the dense kernels (multiply + subtract = 2 flops per
+//! stored off-diagonal entry, one division per explicit diagonal), so
+//! simulated machines can charge sparse applies to the same γ·F term.
 
 use crate::csr::SparseTri;
 use crate::error::SparseError;
-use crate::schedule::SchedulePolicy;
+use crate::schedule::{SchedulePolicy, Waves};
 use crate::Result;
 use dense::{dense_threads, run_region, Diag, FlopCount, Matrix, Transpose};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -67,9 +67,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 ///
 /// This is the single execution vocabulary every sparse solve funnels
 /// through ([`SparseTri::solve_with`] / [`SparseTri::solve_multi_with`]);
-/// the historical `solve{,_seq,_multi}{,_in_place}{,_with_threads}`
-/// combinatorics are thin shims over it, and `catrsm::SolveRequest` lowers
-/// to it for the sparse backend.
+/// `catrsm::SolveRequest` lowers to it for the sparse backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveOpts {
     /// Apply the matrix transposed (`Aᵀ·x = b`); runs on the cached
@@ -159,7 +157,7 @@ pub struct ExecutionShape {
     /// [`SchedulePolicy::Merged`], 0 sequentially and under
     /// [`SchedulePolicy::SyncFree`].
     pub barriers: usize,
-    /// Rows in the widest level (the level executor's parallelism ceiling;
+    /// Rows in the widest level (the level partition's parallelism ceiling;
     /// 0 when sequential or sync-free).
     pub max_level_width: usize,
 }
@@ -180,12 +178,12 @@ impl ExecutionShape {
 
 /// Below this many `nnz · k` units of work a solve never goes parallel on
 /// its own: one region spawn costs tens of microseconds, which rivals the
-/// arithmetic of a small solve.  Explicit `*_with_threads` callers bypass
+/// arithmetic of a small solve.  A pinned [`SolveOpts::threads`] bypasses
 /// the gate (results are bitwise identical either way).
 pub const PAR_MIN_WORK: usize = 64 * 1024;
 
 /// Shared mutable buffer pointer handed to solve workers (the solution
-/// vector in the level sweeps, the solution and partial-sum slabs in the
+/// vector in the wave executor, the solution and partial-sum slabs in the
 /// sync-free sweep).
 ///
 /// Plain `&mut [f64]` cannot be shared across workers; each executor's
@@ -211,7 +209,7 @@ impl SharedPtr {
     }
 }
 
-/// A sense-reversing spin/yield barrier for the level-sweep workers.
+/// A sense-reversing spin/yield barrier for the wave-executor workers.
 ///
 /// `std::sync::Barrier` takes a mutex and sleeps on a condvar at every
 /// crossing — two futex syscalls plus a wake broadcast per worker per
@@ -227,7 +225,7 @@ impl SharedPtr {
 /// arriver has acquired all earlier workers' writes when it bumps the
 /// generation with a release store; waiters acquire the bump — giving
 /// every worker a happens-before edge over every other worker's
-/// pre-barrier writes, exactly the guarantee the level sweeps need.
+/// pre-barrier writes, exactly the guarantee the wave executor needs.
 struct SpinBarrier {
     workers: usize,
     arrived: AtomicUsize,
@@ -267,7 +265,8 @@ impl SpinBarrier {
 
 /// Spins (briefly) then yields until `flag` reaches `epoch`, with an
 /// acquire load so the waiter observes every write the setter published
-/// before its release store.
+/// before its release store.  Returns the loop iterations (spins +
+/// yields) for the tracing layer's `spin_iters` counters.
 ///
 /// The short spin phase covers the common case — the producing worker is
 /// running on another core and finishes within nanoseconds; the yield
@@ -276,23 +275,7 @@ impl SpinBarrier {
 /// scheduling quantum busy-waiting for a worker that needs the CPU to make
 /// the very progress being waited on.
 #[inline]
-pub(crate) fn wait_ready(flag: &AtomicU32, epoch: u32) {
-    let mut spins = 0u32;
-    while flag.load(Ordering::Acquire) != epoch {
-        if spins < 32 {
-            spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// [`wait_ready`] that counts loop iterations (spins + yields) for the
-/// tracing layer.  Only called when tracing is enabled, so the plain
-/// variant's disabled path stays untouched.
-#[inline]
-pub(crate) fn wait_ready_counted(flag: &AtomicU32, epoch: u32) -> u64 {
+pub(crate) fn wait_ready(flag: &AtomicU32, epoch: u32) -> u64 {
     let mut iters = 0u64;
     let mut spins = 0u32;
     while flag.load(Ordering::Acquire) != epoch {
@@ -307,15 +290,15 @@ pub(crate) fn wait_ready_counted(flag: &AtomicU32, epoch: u32) -> u64 {
     iters
 }
 
-/// Per-(super-)level timeline spans are emitted (by worker 0) only when the
-/// schedule has at most this many levels: a 10 000-level DAG would flood
+/// Per-wave timeline spans are emitted (by worker 0) only when the
+/// partition has at most this many waves: a 10 000-level DAG would flood
 /// the trace buffers with events nobody can render, while the per-worker
 /// aggregate counters (`barrier_wait_ns`, `spin_iters`) stay cheap at any
 /// depth.
 pub(crate) const MAX_LEVEL_SPANS: usize = 1024;
 
 thread_local! {
-    /// Readiness flags reused across merged-policy solves on this thread,
+    /// Readiness flags reused across merged-partition solves on this thread,
     /// paired with the epoch of the most recent solve that used them (see
     /// [`with_done_flags`]).
     static DONE_FLAGS: std::cell::RefCell<(Vec<AtomicU32>, u32)> =
@@ -325,7 +308,7 @@ thread_local! {
 /// Runs `f` with an `n`-row readiness-flag buffer and the epoch value that
 /// means "eliminated" for this solve.
 ///
-/// The merged executor is on the plan-once/apply-many hot path, so the
+/// Merged-partition solves are on the plan-once/apply-many hot path, so the
 /// buffer is cached thread-locally and never re-zeroed between solves:
 /// each solve bumps the epoch, and a row counts as ready only when its
 /// flag holds the *current* epoch — stale values from earlier solves
@@ -360,6 +343,61 @@ pub(crate) fn chunk_bounds(len: usize, workers: usize, w: usize) -> (usize, usiz
     let extra = len % workers;
     let lo = w * base + w.min(extra);
     (lo, lo + base + usize::from(w < extra))
+}
+
+/// How the wave executor tracks dependencies *inside* a wave: not at all
+/// for a partition without same-wave dependencies ([`NoSameWave`]), through
+/// per-row readiness flags for one with them ([`SameWaveFlags`]).
+trait SameWave: Copy + Sync {
+    /// Whether dependencies are tracked (selects the trace names).
+    const TRACKED: bool;
+    /// Waits until every dependency of row `i` inside wave `s` is
+    /// eliminated; returns the wait-loop iterations.
+    fn wait_deps(self, a: &SparseTri, i: usize, s: u32) -> u64;
+    /// Marks row `i` eliminated.
+    fn publish(self, i: usize);
+}
+
+/// Same-wave tracking of the level partition: there is nothing to track.
+#[derive(Clone, Copy)]
+struct NoSameWave;
+
+impl SameWave for NoSameWave {
+    const TRACKED: bool = false;
+    #[inline]
+    fn wait_deps(self, _: &SparseTri, _: usize, _: u32) -> u64 {
+        0
+    }
+    #[inline]
+    fn publish(self, _: usize) {}
+}
+
+/// Same-wave tracking of the merged partition: the row → wave map and the
+/// readiness flags, `== epoch` meaning eliminated.
+#[derive(Clone, Copy)]
+struct SameWaveFlags<'a> {
+    wave_of: &'a [u32],
+    done: &'a [AtomicU32],
+    epoch: u32,
+}
+
+impl SameWave for SameWaveFlags<'_> {
+    const TRACKED: bool = true;
+    #[inline]
+    fn wait_deps(self, a: &SparseTri, i: usize, s: u32) -> u64 {
+        let mut spins = 0;
+        for &j in a.row_entries(i).0 {
+            if self.wave_of[j] == s {
+                spins += wait_ready(&self.done[j], self.epoch);
+            }
+        }
+        spins
+    }
+    #[inline]
+    fn publish(self, i: usize) {
+        // Release pairs with the acquire load in `wait_ready`.
+        self.done[i].store(self.epoch, Ordering::Release);
+    }
 }
 
 impl SparseTri {
@@ -405,7 +443,7 @@ impl SparseTri {
         }
     }
 
-    /// Worker budget for the implicit (non-`_with_threads`) entry points:
+    /// Worker budget when [`SolveOpts::threads`] is not pinned:
     /// the `DENSE_THREADS` pool size when the solve clears [`PAR_MIN_WORK`],
     /// else 1.  The decision depends only on the matrix and `k`, never on
     /// timing, so which path runs is itself deterministic.
@@ -449,15 +487,13 @@ impl SparseTri {
         }
         let sched = self.schedule();
         let policy = policy.unwrap_or_else(|| SchedulePolicy::auto(sched, budget, reuse));
-        let workers = match policy {
-            // Workers beyond the widest level would never receive a row.
-            SchedulePolicy::Level => budget.min(sched.max_level_width()),
-            // The merged executor's ceiling is the widest *super*-level.
-            SchedulePolicy::Merged => budget.min(self.merged_schedule().max_super_width()),
-            // Unreachable through `auto` (small reuse short-circuits
-            // above), kept for totality.
-            SchedulePolicy::SyncFree => return self.syncfree_shape(budget),
+        // `None` is unreachable through `auto` (small reuse short-circuits
+        // above), kept for totality.
+        let Some(waves) = self.partition(policy) else {
+            return self.syncfree_shape(budget);
         };
+        // Workers beyond the widest wave would never receive a row.
+        let workers = budget.min(waves.max_width());
         if workers <= 1 {
             // The width cap degraded the solve to the sequential sweep:
             // report the nominal sequential shape (policy `Level`, no
@@ -465,21 +501,29 @@ impl SparseTri {
             // the same sweep either way.
             return ExecutionShape::sequential();
         }
-        let (super_levels, barriers) = match policy {
-            SchedulePolicy::Level => (0, sched.num_levels()),
-            SchedulePolicy::Merged => {
-                let s = self.merged_schedule().num_super_levels();
-                (s, s)
-            }
-            SchedulePolicy::SyncFree => unreachable!("resolved above"),
-        };
+        let barriers = waves.num_waves();
         ExecutionShape {
             workers,
             policy,
             levels: sched.num_levels(),
-            super_levels,
+            super_levels: if policy == SchedulePolicy::Merged {
+                barriers
+            } else {
+                0
+            },
             barriers,
             max_level_width: sched.max_level_width(),
+        }
+    }
+
+    /// The wave partition a barriered policy runs — the level schedule's
+    /// levels or the merged schedule's super-levels — or `None` for the
+    /// sync-free sweep, which has no waves.
+    fn partition(&self, policy: SchedulePolicy) -> Option<Waves<'_>> {
+        match policy {
+            SchedulePolicy::Level => Some(self.schedule().waves()),
+            SchedulePolicy::Merged => Some(self.merged_schedule().waves()),
+            SchedulePolicy::SyncFree => None,
         }
     }
 
@@ -535,180 +579,124 @@ impl SparseTri {
                 }
             }
         } else {
-            match shape.policy {
-                SchedulePolicy::Level => self.run_level_parallel(x, stride, k, shape.workers),
-                SchedulePolicy::Merged => self.run_merged_parallel(x, stride, k, shape.workers),
-                SchedulePolicy::SyncFree => self.csc().run_syncfree(x, stride, k, shape.workers),
+            match self.partition(shape.policy) {
+                Some(waves) => self.run_waves(waves, x, stride, k, shape.workers),
+                None => self.csc().run_syncfree(x, stride, k, shape.workers),
             }
         }
         self.solve_flops(k)
     }
 
-    /// The classical level-scheduled executor: one barrier per dependency
-    /// level, each level's rows split into one contiguous chunk per worker.
-    fn run_level_parallel(&self, x: *mut f64, stride: usize, k: usize, workers: usize) {
-        let sched = self.schedule();
+    /// The barriered executor: the waves of `waves` run in order, each
+    /// wave's rows split into one contiguous chunk per worker, one barrier
+    /// after every wave (one per level under the level partition, one per
+    /// super-level under the merged one).
+    ///
+    /// Without a row → wave map every dependency of a row lies in an
+    /// earlier wave, complete once the barrier is crossed, so workers only
+    /// eliminate.  With one, a worker sweeps its chunk in flat order and,
+    /// before eliminating a row, spins/yields on the readiness flags of the
+    /// row's dependencies in the *same* wave, publishing its own flag with
+    /// release ordering afterwards.
+    ///
+    /// Deadlock-freedom: every same-wave dependency sits at a strictly
+    /// earlier flat position (the [`Waves`] contract; the merged schedule
+    /// keeps level as its primary sort key within a super-level), each
+    /// worker's chunk is processed in ascending flat order, and a worker
+    /// at flat position `p` only ever waits on positions `< p` — so along
+    /// any wait chain the positions strictly decrease, and the earliest
+    /// unfinished row is always runnable.
+    ///
+    /// Bitwise determinism: the row → worker assignment and the per-row
+    /// arithmetic order are both timing-independent; the flags only ever
+    /// delay a worker, never reorder arithmetic.
+    fn run_waves(&self, waves: Waves<'_>, x: *mut f64, stride: usize, k: usize, workers: usize) {
+        match waves.wave_of() {
+            // A level partition never touches the readiness flags.
+            None => self.sweep_waves(waves, NoSameWave, x, stride, k, workers),
+            // Rows of earlier waves never have their flags consulted, so
+            // no per-wave reset is needed.
+            Some(wave_of) => with_done_flags(self.n(), |done, epoch| {
+                let flags = SameWaveFlags {
+                    wave_of,
+                    done,
+                    epoch,
+                };
+                self.sweep_waves(waves, flags, x, stride, k, workers)
+            }),
+        }
+    }
+
+    /// [`SparseTri::run_waves`] with its same-wave tracking fixed at compile
+    /// time, so the level partition's row loop carries nothing but the
+    /// kernel.
+    fn sweep_waves<R: SameWave>(
+        &self,
+        waves: Waves<'_>,
+        ready: R,
+        x: *mut f64,
+        stride: usize,
+        k: usize,
+        workers: usize,
+    ) {
         let shared = SharedPtr(x);
         let barrier = SpinBarrier::new(workers);
         let tracing = obs::enabled();
-        let level_spans = tracing && sched.num_levels() <= MAX_LEVEL_SPANS;
-        let _span = obs::span_with("sparse", "level_exec", "levels", sched.num_levels() as u64);
+        let wave_spans = tracing && waves.num_waves() <= MAX_LEVEL_SPANS;
+        let (exec, unit, wave) = if R::TRACKED {
+            ("merged_exec", "super_levels", "super_level")
+        } else {
+            ("level_exec", "levels", "level")
+        };
+        let _span = obs::span_with("sparse", exec, unit, waves.num_waves() as u64);
         run_region(workers, |w| {
-            // Barrier-wait time accumulates locally and is emitted as one
-            // counter per worker at region end, so the per-level loop
-            // records nothing; worker 0 additionally emits a per-level
-            // timeline span on shallow schedules.
+            // Barrier-wait time and point-to-point spins accumulate locally
+            // and are emitted as one counter each per worker at region end,
+            // so the per-wave loop records nothing; worker 0 additionally
+            // emits a per-wave timeline span on shallow partitions, plus
+            // (merged) one `super_rows` counter per super-level, surfaced
+            // into `TraceReport::super_level_rows`.
             let mut wait_ns = 0u64;
-            for l in 0..sched.num_levels() {
-                let rows = sched.level_rows(l);
-                let lspan = if level_spans && w == 0 {
-                    Some(obs::span_with("sparse", "level", "rows", rows.len() as u64))
+            let mut spins = 0u64;
+            for s in 0..waves.num_waves() {
+                let rows = waves.wave_rows(s);
+                let wspan = if wave_spans && w == 0 {
+                    if R::TRACKED {
+                        let len = rows.len() as u64;
+                        obs::counter("sparse", "super_rows", "rows", len, "super", s as u64);
+                    }
+                    Some(obs::span_with("sparse", wave, "rows", rows.len() as u64))
                 } else {
                     None
                 };
                 let (lo, hi) = chunk_bounds(rows.len(), workers, w);
                 for &i in &rows[lo..hi] {
-                    // SAFETY: `chunk_bounds` hands each worker a
-                    // disjoint slice of this level's rows, so row `i` is
-                    // written by exactly this worker; every dependency
-                    // of `i` lies in a level `< l` (the defining
-                    // invariant of `Schedule`), whose writes
-                    // happened-before this read via the barrier below
-                    // (and, for level 0, via the region spawn).
+                    spins += ready.wait_deps(self, i, s as u32);
+                    // SAFETY: `chunk_bounds` hands each worker a disjoint
+                    // slice of this wave's rows, so row `i` is written by
+                    // exactly this worker; each dependency `j` was
+                    // finalized either in an earlier wave (happens-before
+                    // via the barrier below, or for wave 0 the region
+                    // spawn) or in this one (happens-before via the
+                    // acquire load in `wait_deps` pairing with the release
+                    // store in `publish`).
                     unsafe { self.eliminate_row(shared.get(), stride, k, i) };
+                    ready.publish(i);
                 }
                 let t0 = if tracing { obs::now_ns() } else { 0 };
                 barrier.wait();
                 if tracing {
                     wait_ns += obs::now_ns().saturating_sub(t0);
                 }
-                drop(lspan);
+                drop(wspan);
             }
             if tracing {
-                obs::counter(
-                    "sparse",
-                    "barrier_wait_ns",
-                    "ns",
-                    wait_ns,
-                    "worker",
-                    w as u64,
-                );
+                let w = w as u64;
+                obs::counter("sparse", "barrier_wait_ns", "ns", wait_ns, "worker", w);
+                if R::TRACKED {
+                    obs::counter("sparse", "spin_iters", "iters", spins, "worker", w);
+                }
             }
-        });
-    }
-
-    /// The DAG-partitioned executor: one barrier per *super-level*, with
-    /// point-to-point readiness inside each.
-    ///
-    /// Each super-level's rows (a contiguous range of the merged
-    /// schedule's [`crate::MergedSchedule::rows`] sweep order, which reorders
-    /// rows *within* the super-level by level then descending fan-out) are
-    /// split into one contiguous chunk per worker.  A worker sweeps its
-    /// chunk in flat order; before eliminating a row it spins/yields on
-    /// the readiness flags of the row's dependencies that live in the
-    /// *same* super-level (dependencies in earlier super-levels are
-    /// complete — the inter-super-level barrier guarantees it), and
-    /// publishes its own flag with release ordering afterwards.
-    ///
-    /// Deadlock-freedom: every dependency sits at a strictly earlier flat
-    /// position (it is in a strictly earlier level, and level remains the
-    /// sweep order's primary sort key within a super-level), each worker's
-    /// chunk is processed in ascending flat order, and a worker at flat
-    /// position `p` only ever waits on positions `< p` — so along any wait
-    /// chain the positions strictly decrease, and the earliest unfinished
-    /// row is always runnable.
-    ///
-    /// Bitwise determinism: the row → worker assignment and the per-row
-    /// arithmetic order are both timing-independent; the flags only ever
-    /// delay a worker, never reorder arithmetic.
-    fn run_merged_parallel(&self, x: *mut f64, stride: usize, k: usize, workers: usize) {
-        let merged = self.merged_schedule();
-        let rows = merged.rows();
-        let shared = SharedPtr(x);
-        let barrier = SpinBarrier::new(workers);
-        // One readiness flag per row, `== epoch` meaning eliminated; the
-        // buffer is thread-locally cached and epoch-versioned so the
-        // apply-many hot path allocates and zeroes nothing per solve.
-        // Rows of earlier super-levels never have their flags consulted,
-        // so no per-super-level reset is needed either.
-        let tracing = obs::enabled();
-        let super_spans = tracing && merged.num_super_levels() <= MAX_LEVEL_SPANS;
-        let _span = obs::span_with(
-            "sparse",
-            "merged_exec",
-            "super_levels",
-            merged.num_super_levels() as u64,
-        );
-        with_done_flags(self.n(), |done, epoch| {
-            run_region(workers, |w| {
-                // Same counter convention as the level executor, plus the
-                // point-to-point spin count; worker 0 also emits one
-                // `super_rows` counter per super-level (its row count,
-                // surfaced into `TraceReport::super_level_rows`).
-                let mut wait_ns = 0u64;
-                let mut spins = 0u64;
-                for s in 0..merged.num_super_levels() {
-                    let srange = merged.super_range(s);
-                    let srows = &rows[srange];
-                    let sspan = if super_spans && w == 0 {
-                        obs::counter(
-                            "sparse",
-                            "super_rows",
-                            "rows",
-                            srows.len() as u64,
-                            "super",
-                            s as u64,
-                        );
-                        Some(obs::span_with(
-                            "sparse",
-                            "super_level",
-                            "rows",
-                            srows.len() as u64,
-                        ))
-                    } else {
-                        None
-                    };
-                    let (lo, hi) = chunk_bounds(srows.len(), workers, w);
-                    for &i in &srows[lo..hi] {
-                        let (cols, _) = self.row_entries(i);
-                        for &j in cols {
-                            if merged.super_of(j) == s as u32 {
-                                if tracing {
-                                    spins += wait_ready_counted(&done[j], epoch);
-                                } else {
-                                    wait_ready(&done[j], epoch);
-                                }
-                            }
-                        }
-                        // SAFETY: row `i` is written by exactly this worker
-                        // (disjoint chunks of disjoint super-levels); each
-                        // dependency `j` was either finalized in an earlier
-                        // super-level (happens-before via the barrier below)
-                        // or in this one (happens-before via the acquire
-                        // load in `wait_ready` pairing with the release
-                        // store).
-                        unsafe { self.eliminate_row(shared.get(), stride, k, i) };
-                        done[i].store(epoch, Ordering::Release);
-                    }
-                    let t0 = if tracing { obs::now_ns() } else { 0 };
-                    barrier.wait();
-                    if tracing {
-                        wait_ns += obs::now_ns().saturating_sub(t0);
-                    }
-                    drop(sspan);
-                }
-                if tracing {
-                    obs::counter(
-                        "sparse",
-                        "barrier_wait_ns",
-                        "ns",
-                        wait_ns,
-                        "worker",
-                        w as u64,
-                    );
-                    obs::counter("sparse", "spin_iters", "iters", spins, "worker", w as u64);
-                }
-            });
         });
     }
 
@@ -747,8 +735,7 @@ impl SparseTri {
     /// holds `b` on entry and the solution on exit.  Returns the flop count.
     ///
     /// This is the single entry point every sparse solve funnels through;
-    /// with default options it is [`SparseTri::solve_in_place`], with a
-    /// pinned budget the historical `_with_threads` variants, and with
+    /// with default options it is [`SparseTri::solve_in_place`], and with
     /// [`Transpose::Yes`] the transposed solve on the cached transpose.
     pub fn solve_with(&self, opts: &SolveOpts, x: &mut [f64]) -> Result<FlopCount> {
         if x.len() != self.n() {
@@ -804,41 +791,6 @@ impl SparseTri {
         self.solve_with(&SolveOpts::new(), x)
     }
 
-    /// [`SparseTri::solve_in_place`] with an explicit worker budget instead
-    /// of the `DENSE_THREADS` default.  Results are bitwise identical for
-    /// every value of `threads`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(&SolveOpts::new().threads(threads), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_in_place_with_threads(&self, x: &mut [f64], threads: usize) -> Result<FlopCount> {
-        self.solve_with(&SolveOpts::new().threads(threads), x)
-    }
-
-    /// Sequential baseline for [`SparseTri::solve`]: one substitution sweep
-    /// in dependency order, no analysis, no workers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(&SolveOpts::new().threads(1), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_seq(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = b.to_vec();
-        self.solve_with(&SolveOpts::new().threads(1), &mut x)?;
-        Ok(x)
-    }
-
-    /// [`SparseTri::solve_seq`] in place; returns the flop count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(&SolveOpts::new().threads(1), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_seq_in_place(&self, x: &mut [f64]) -> Result<FlopCount> {
-        self.solve_with(&SolveOpts::new().threads(1), x)
-    }
-
     /// Solves `A · X = B` for a block of right-hand sides (`B` is `n × k`),
     /// level-parallel across rows and vectorized across the `k` columns.
     pub fn solve_multi(&self, b: &Matrix) -> Result<Matrix> {
@@ -852,33 +804,6 @@ impl SparseTri {
     /// [`SparseTri::solve_in_place`].
     pub fn solve_multi_in_place(&self, x: &mut Matrix) -> Result<FlopCount> {
         self.solve_multi_with(&SolveOpts::new(), x)
-    }
-
-    /// [`SparseTri::solve_multi_in_place`] with an explicit worker budget;
-    /// bitwise identical for every value of `threads`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_multi_with(&SolveOpts::new().threads(threads), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_multi_in_place_with_threads(
-        &self,
-        x: &mut Matrix,
-        threads: usize,
-    ) -> Result<FlopCount> {
-        self.solve_multi_with(&SolveOpts::new().threads(threads), x)
-    }
-
-    /// Sequential baseline for [`SparseTri::solve_multi`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_multi_with(&SolveOpts::new().threads(1), x)` \
-                or `catrsm::SolveRequest`"
-    )]
-    pub fn solve_multi_seq(&self, b: &Matrix) -> Result<Matrix> {
-        let mut x = b.clone();
-        self.solve_multi_with(&SolveOpts::new().threads(1), &mut x)?;
-        Ok(x)
     }
 
     /// Dense-fallback solve: densify ([`SparseTri::to_dense`]) and run the
@@ -899,10 +824,6 @@ impl SparseTri {
 
 #[cfg(test)]
 mod tests {
-    // The historical shims are exercised on purpose: they must stay bitwise
-    // equal to the options-driven core they delegate to.
-    #![allow(deprecated)]
-
     use super::*;
     use dense::Triangle;
 
@@ -933,7 +854,9 @@ mod tests {
         .unwrap();
         let b = vec![1.0, -2.0, 3.0, -4.0];
         assert_eq!(m.solve(&b).unwrap(), b);
-        assert_eq!(m.solve_seq(&b).unwrap(), b);
+        let mut x = b.clone();
+        m.solve_with(&SolveOpts::new().threads(1), &mut x).unwrap();
+        assert_eq!(x, b);
     }
 
     #[test]
@@ -984,10 +907,13 @@ mod tests {
         let upper = lower.transpose();
         for m in [&lower, &upper] {
             let b: Vec<f64> = (0..n).map(|i| ((i * 29 + 3) % 17) as f64 - 8.0).collect();
-            let seq = m.solve_seq(&b).unwrap();
+            let mut seq = b.clone();
+            m.solve_with(&SolveOpts::new().threads(1), &mut seq)
+                .unwrap();
             for threads in [2usize, 3, 4, 7] {
                 let mut x = b.clone();
-                m.solve_in_place_with_threads(&mut x, threads).unwrap();
+                m.solve_with(&SolveOpts::new().threads(threads), &mut x)
+                    .unwrap();
                 assert_eq!(x, seq, "threads={threads} changed the result bits");
             }
         }
@@ -999,10 +925,12 @@ mod tests {
         let k = 5;
         let m = test_lower(n, 7);
         let b = Matrix::from_fn(n, k, |i, j| ((i * 5 + j * 11) % 13) as f64 - 6.0);
-        let seq = m.solve_multi_seq(&b).unwrap();
+        let mut seq = b.clone();
+        m.solve_multi_with(&SolveOpts::new().threads(1), &mut seq)
+            .unwrap();
         for threads in [2usize, 4] {
             let mut x = b.clone();
-            m.solve_multi_in_place_with_threads(&mut x, threads)
+            m.solve_multi_with(&SolveOpts::new().threads(threads), &mut x)
                 .unwrap();
             assert!(x == seq, "threads={threads} changed multi-RHS bits");
         }
@@ -1045,13 +973,14 @@ mod tests {
         assert_eq!(m.analysis_count(), 0);
         let b = vec![1.0; n];
         // Two parallel solves + a multi-RHS solve: one analysis, total.
+        let opts = SolveOpts::new().threads(4);
         let mut x1 = b.clone();
-        m.solve_in_place_with_threads(&mut x1, 4).unwrap();
+        m.solve_with(&opts, &mut x1).unwrap();
         assert_eq!(m.analysis_count(), 1, "first parallel solve analyzes");
         let mut x2 = b.clone();
-        m.solve_in_place_with_threads(&mut x2, 4).unwrap();
+        m.solve_with(&opts, &mut x2).unwrap();
         let mut bm = Matrix::from_fn(n, 3, |i, j| (i + j) as f64);
-        m.solve_multi_in_place_with_threads(&mut bm, 4).unwrap();
+        m.solve_multi_with(&opts, &mut bm).unwrap();
         assert_eq!(x1, x2);
         assert_eq!(
             m.analysis_count(),
@@ -1063,8 +992,8 @@ mod tests {
     #[test]
     fn sequential_baseline_never_analyzes() {
         let m = test_lower(200, 4);
-        let b = vec![1.0; 200];
-        let _ = m.solve_seq(&b).unwrap();
+        let mut x = vec![1.0; 200];
+        m.solve_with(&SolveOpts::new().threads(1), &mut x).unwrap();
         assert_eq!(m.analysis_count(), 0);
     }
 
@@ -1185,10 +1114,6 @@ mod tests {
             flops
         );
         assert_eq!(m.solve(&b).unwrap(), via_opts);
-        assert_eq!(m.solve_seq(&b).unwrap(), via_opts);
-        let mut x = b.clone();
-        assert_eq!(m.solve_in_place_with_threads(&mut x, 3).unwrap(), flops);
-        assert_eq!(x, via_opts);
 
         let k = 3;
         let bm = Matrix::from_fn(n, k, |i, j| ((i + j * 5) % 9) as f64 - 4.0);
@@ -1198,7 +1123,6 @@ mod tests {
             .unwrap();
         assert_eq!(fm, m.solve_flops(k));
         assert_eq!(m.solve_multi(&bm).unwrap(), via_opts_m);
-        assert_eq!(m.solve_multi_seq(&bm).unwrap(), via_opts_m);
     }
 
     #[test]

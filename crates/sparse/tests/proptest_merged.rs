@@ -12,9 +12,9 @@
 //! * **structural invariants** — super-levels are contiguous runs of whole
 //!   levels whose dependencies never point forward.
 
-use dense::Matrix;
+use dense::{Diag, Matrix, Transpose, Triangle};
 use proptest::prelude::*;
-use sparse::{gen, SchedulePolicy, SolveOpts};
+use sparse::{gen, SchedulePolicy, SolveOpts, SparseTri, SUPER_MIN_WEIGHT};
 
 /// Max |a - b| over two equal-length vectors.
 fn vec_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -179,6 +179,87 @@ proptest! {
                     j,
                     i
                 );
+            }
+        }
+    }
+}
+
+/// A lower pattern whose merged schedule mixes both kinds of wave: a wide
+/// independent block (one level heavier than [`SUPER_MIN_WEIGHT`], its own
+/// super-level) followed by a long chain whose skinny levels merge into
+/// multi-level super-levels.  Each chain row depends on its predecessor and
+/// on three rows of the block.
+fn wide_block_then_chain(seed: u64) -> SparseTri {
+    let wide = SUPER_MIN_WEIGHT + 404;
+    let chain = 2000;
+    let n = wide + chain;
+    let mut ents = Vec::with_capacity(n + 4 * chain);
+    for i in 0..n {
+        let v = (i as u64).wrapping_mul(0x9e37_79b9).wrapping_add(seed) % 97;
+        ents.push((i, i, 2.0 + v as f64 / 97.0));
+    }
+    for i in wide..n {
+        let mut cols: Vec<usize> = (1..4u64)
+            .map(|f| ((i as u64 * (2 * f + 5) + seed.wrapping_mul(f)) % wide as u64) as usize)
+            .collect();
+        if i > wide {
+            cols.push(i - 1);
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        for j in cols {
+            let v = ((i * 31 + j * 17) as u64 ^ seed) % 23;
+            ents.push((i, j, (v as f64 - 11.0) / 50.0));
+        }
+    }
+    SparseTri::from_triplets(n, Triangle::Lower, Diag::NonUnit, &ents).unwrap()
+}
+
+/// Level and Merged stay bitwise equal to the sequential sweep on a merged
+/// schedule that mixes single-level and merged multi-level waves.
+#[test]
+fn merged_equals_level_bitwise_on_mixed_wave_kinds() {
+    for seed in [3u64, 0xfeed_beef] {
+        let m = wide_block_then_chain(seed);
+        let s = m.schedule();
+        let g = m.merged_schedule();
+        // (levels, rows) per super-level: one heavy level for the wide
+        // block, many skinny levels for each merged run of the chain.
+        let waves: Vec<(usize, usize)> = (0..g.num_super_levels())
+            .map(|sl| {
+                let r = g.super_range(sl);
+                let levels = (0..s.num_levels())
+                    .filter(|&l| r.contains(&s.level_range(l).start))
+                    .count();
+                (levels, r.len())
+            })
+            .collect();
+        assert!(
+            waves
+                .iter()
+                .any(|&(l, rows)| l == 1 && rows > SUPER_MIN_WEIGHT)
+                && waves.iter().any(|&(l, _)| l > 1),
+            "fixture must mix a heavy single-level wave with merged waves: {waves:?}"
+        );
+        for transpose in [Transpose::No, Transpose::Yes] {
+            for k in [1usize, 3] {
+                let b = Matrix::from_fn(m.n(), k, |i, j| {
+                    ((i * 7 + j * 13 + seed as usize) % 19) as f64 / 9.5 - 1.0
+                });
+                let base = SolveOpts::new().transpose(transpose);
+                let mut seq = b.clone();
+                m.solve_multi_with(&base.threads(1), &mut seq).unwrap();
+                for t in [2usize, 3, 4] {
+                    for policy in [SchedulePolicy::Level, SchedulePolicy::Merged] {
+                        let mut x = b.clone();
+                        m.solve_multi_with(&base.threads(t).policy(policy), &mut x)
+                            .unwrap();
+                        assert!(
+                            x == seq,
+                            "{policy:?} at {t} workers, {transpose:?}, k={k} changed the bits"
+                        );
+                    }
+                }
             }
         }
     }

@@ -273,41 +273,3 @@ fn virtual_time_is_consistent_with_counters() {
     assert!(report.virtual_time() <= counter_bound);
     assert!(report.virtual_time() > 0.0);
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_the_staged_api() {
-    // `solve_lower` / `solve_upper` must keep compiling and keep solving
-    // exactly what the SolveRequest path solves.
-    let out = Machine::new(4, MachineParams::unit())
-        .run(|comm| {
-            let grid = Grid2D::new(comm, 2, 2).unwrap();
-            let (l_g, b_g, _) = instance(64, 16, 29);
-            let l = DistMatrix::from_global(&grid, &l_g);
-            let b = DistMatrix::from_global(&grid, &b_g);
-            let alg = Algorithm::Recursive { base_size: 16 };
-            let old = solve_lower(&l, &b, alg).unwrap();
-            let new = SolveRequest::lower()
-                .algorithm(alg)
-                .solve_distributed(&l, &b)
-                .unwrap();
-            let d = old.rel_diff(&new.x).unwrap();
-
-            let u_g = gen::well_conditioned_upper(32, 33);
-            let xu = gen::rhs(32, 8, 34);
-            let bu_g = dense::matmul(&u_g, &xu);
-            let u = DistMatrix::from_global(&grid, &u_g);
-            let bu = DistMatrix::from_global(&grid, &bu_g);
-            let old_u = solve_upper(&u, &bu, alg).unwrap();
-            let new_u = SolveRequest::upper()
-                .algorithm(alg)
-                .solve_distributed(&u, &bu)
-                .unwrap();
-            (d, old_u.rel_diff(&new_u.x).unwrap())
-        })
-        .unwrap();
-    for (d_l, d_u) in out.results {
-        assert_eq!(d_l, 0.0, "lower shim must match the staged API bitwise");
-        assert_eq!(d_u, 0.0, "upper shim must match the staged API bitwise");
-    }
-}
